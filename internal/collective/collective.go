@@ -43,6 +43,7 @@ type Ctx struct {
 	keySeq    map[memoKey]uint32
 	memoStats MemoStats     // this context's own hit/miss/bypass counters
 	rec       *pairRecorder // active salt-draw recording, if any
+	rankShare []float64     // per-rank byte scratch for TopologyAwareAllToAll
 }
 
 // pairKey identifies an ordered endpoint pair for ECMP salt rotation.
@@ -204,7 +205,8 @@ func (ctx *Ctx) flowVia(src, dst topo.NodeID, viaA, viaB topo.NodeID, bytes floa
 	if err != nil {
 		return nil, fmt.Errorf("collective: route from delegate NIC: %w", err)
 	}
-	path := append(append(append(topo.Route{}, head...), mid...), tail...)
+	path := make(topo.Route, 0, len(head)+len(mid)+len(tail))
+	path = append(append(append(path, head...), mid...), tail...)
 	ctx.nextID++
 	return &netsim.Flow{ID: ctx.nextID, Path: path, Bytes: bytes}, nil
 }
@@ -417,7 +419,7 @@ func TopologyAwareAllToAll(ctx *Ctx, region int, gpus []topo.NodeID, demand *met
 				dgA := delegateGPU(c, a)
 				dgB := delegateGPU(c, b)
 				// Step 2: gather from each source rank on si to delegate.
-				if err := addSplitFlows(ctx, &gather, gpus, serverOf, si, dgA, false, demandRowShare(demand, serverOf, si, sj, share/vol)); err != nil {
+				if err := addSplitFlows(ctx, &gather, gpus, serverOf, si, dgA, false, ctx.demandRowShare(demand, serverOf, si, sj, share/vol)); err != nil {
 					return nil, err
 				}
 				// Step 3: the delegated inter-host transfer via the circuit.
@@ -429,7 +431,7 @@ func TopologyAwareAllToAll(ctx *Ctx, region int, gpus []topo.NodeID, demand *met
 					inter = append(inter, f)
 				}
 				// Step 5: scatter from delegate to destination ranks on sj.
-				if err := addSplitFlows(ctx, &scatter, gpus, serverOf, sj, dgB, true, demandColShare(demand, serverOf, si, sj, share/vol)); err != nil {
+				if err := addSplitFlows(ctx, &scatter, gpus, serverOf, sj, dgB, true, ctx.demandColShare(demand, serverOf, si, sj, share/vol)); err != nil {
 					return nil, err
 				}
 			}
@@ -470,10 +472,22 @@ func TopologyAwareAllToAll(ctx *Ctx, region int, gpus []topo.NodeID, demand *met
 	return phases, nil
 }
 
+// shareScratch returns the context's per-rank scratch, zeroed and sized to
+// n ranks. Each call reuses the previous call's storage.
+func (ctx *Ctx) shareScratch(n int) []float64 {
+	if cap(ctx.rankShare) < n {
+		ctx.rankShare = make([]float64, n)
+	}
+	s := ctx.rankShare[:n]
+	clear(s)
+	return s
+}
+
 // demandRowShare returns per-source-rank bytes from server si toward sj,
-// scaled by share (a circuit's fraction of the pair volume).
-func demandRowShare(d *metrics.Matrix, serverOf []int, si, sj int, share float64) map[int]float64 {
-	out := map[int]float64{}
+// scaled by share (a circuit's fraction of the pair volume), indexed by
+// rank. The slice is valid until the next demand*Share call on ctx.
+func (ctx *Ctx) demandRowShare(d *metrics.Matrix, serverOf []int, si, sj int, share float64) []float64 {
+	out := ctx.shareScratch(len(serverOf))
 	for i := 0; i < d.Rows; i++ {
 		if serverOf[i] != si {
 			continue
@@ -488,9 +502,10 @@ func demandRowShare(d *metrics.Matrix, serverOf []int, si, sj int, share float64
 }
 
 // demandColShare returns per-destination-rank bytes on server sj received
-// from si, scaled by share.
-func demandColShare(d *metrics.Matrix, serverOf []int, si, sj int, share float64) map[int]float64 {
-	out := map[int]float64{}
+// from si, scaled by share, indexed by rank. The slice is valid until the
+// next demand*Share call on ctx.
+func (ctx *Ctx) demandColShare(d *metrics.Matrix, serverOf []int, si, sj int, share float64) []float64 {
+	out := ctx.shareScratch(len(serverOf))
 	for j := 0; j < d.Cols; j++ {
 		if serverOf[j] != sj {
 			continue
@@ -507,12 +522,12 @@ func demandColShare(d *metrics.Matrix, serverOf []int, si, sj int, share float64
 // addSplitFlows emits gather or scatter flows between rank GPUs and a
 // delegate GPU on one server: rank->delegate when fromDelegate is false
 // (step 2), delegate->rank when true (step 5). Ranks are visited in
-// ascending order (not map order) so flow IDs and ECMP salts replay
-// identically across runs.
-func addSplitFlows(ctx *Ctx, dst *[]*netsim.Flow, gpus []topo.NodeID, serverOf []int, server int, delegate topo.NodeID, fromDelegate bool, perRank map[int]float64) error {
+// ascending order so flow IDs and ECMP salts replay identically across
+// runs; ranks with no bytes (perRank[r] <= 0) get no flow.
+func addSplitFlows(ctx *Ctx, dst *[]*netsim.Flow, gpus []topo.NodeID, serverOf []int, server int, delegate topo.NodeID, fromDelegate bool, perRank []float64) error {
 	for r := 0; r < len(gpus); r++ {
-		v, ok := perRank[r]
-		if !ok || gpus[r] == delegate || v <= 0 || serverOf[r] != server {
+		v := perRank[r]
+		if gpus[r] == delegate || v <= 0 || serverOf[r] != server {
 			continue
 		}
 		src, d := gpus[r], delegate

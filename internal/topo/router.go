@@ -24,6 +24,13 @@ type Router interface {
 // graph epoch changes, so steady-state Route calls perform zero heap
 // allocations.
 //
+// Distance fields are resumable breadth-first searches: Route expands a
+// destination's BFS only as far as the route being walked needs, and later
+// calls resume it. Invalidation returns every field's storage to the
+// router for reuse rather than dropping it, so routing after a
+// reconfiguration allocates no field storage and pays only for the hops it
+// walks.
+//
 // Path selection walks from src towards dst, at each hop choosing among the
 // neighbours that strictly decrease the distance to dst, hashed by
 // (flowKey, hop, node) — per-hop ECMP as practised in Clos fabrics.
@@ -37,20 +44,31 @@ type BFSRouter struct {
 	G *Graph
 
 	epoch  uint64
-	dist   map[NodeID]*distEntry // dst -> distances of materialized nodes to dst
-	routes map[routeKey]Route    // resolved paths, keyed by (src, dst, flowKey)
-	queue  []NodeID              // scratch
-	cands  []LinkID              // per-hop ECMP candidate scratch
+	dist   map[NodeID]*distEntry // dst -> resumable BFS towards dst at this epoch
+	fields []*distEntry          // field storage; fields[:used] back the entries of dist
+	used   int
+	routes map[routeKey]Route // resolved paths, keyed by (src, dst, flowKey)
+	cands  []LinkID           // per-hop ECMP candidate scratch
 }
 
-// distEntry is one cached distance field: d is indexed by node storage slot
-// (-1 unreachable / out of range) and was computed at the recorded growth.
-// Materialization never changes distances between already-materialized
-// nodes (see Graph.growth), so a stale entry is still correct for every
-// slot it covers; it only needs recomputing when a route endpoint lies
-// beyond it.
+// distEntry is one resumable BFS towards a destination over incoming up
+// links. d holds hop distances indexed by node storage slot (-1 = not
+// labeled yet, unreachable, or out of range); q lists the labeled slots in
+// BFS order, so their distances never decrease, and q[:head] have been
+// expanded. Labels are exact distances, and every node within
+// d[q[head]] hops of the destination is labeled. Restarting an entry,
+// for the same destination or another, clears only the slots in q.
+//
+// growth is the graph growth the BFS started at. Materialization never
+// changes distances between already-materialized nodes (see Graph.growth),
+// so a complete entry of an older growth is still correct for every slot
+// it covers and only needs a restart when a route endpoint lies beyond it.
+// A partial one restarts at once: its expanded nodes never saw the links
+// materialized since.
 type distEntry struct {
 	d      []int32
+	q      []int32
+	head   int
 	growth uint64
 }
 
@@ -67,9 +85,9 @@ func NewBFSRouter(g *Graph) *BFSRouter {
 	return &BFSRouter{G: g, dist: make(map[NodeID]*distEntry), routes: make(map[routeKey]Route)}
 }
 
-// Invalidate drops all cached distance fields and routes. Callers normally
-// do not need this: the caches self-invalidate on graph mutation via the
-// epoch counter.
+// Invalidate drops all cached routes and distance fields, keeping the
+// fields' storage for the next ones. Callers normally do not need this:
+// the caches self-invalidate on graph mutation via the epoch counter.
 func (r *BFSRouter) Invalidate() {
 	if r.dist == nil {
 		r.dist = make(map[NodeID]*distEntry)
@@ -79,6 +97,7 @@ func (r *BFSRouter) Invalidate() {
 	}
 	clear(r.dist)
 	clear(r.routes)
+	r.used = 0
 }
 
 // Resync eagerly revalidates the caches against the graph's current epoch,
@@ -93,64 +112,99 @@ func (r *BFSRouter) Resync() { r.sync() }
 
 // sync invalidates the caches when the graph was mutated.
 func (r *BFSRouter) sync() {
-	//mixnet:allow growth is covered per entry: distEntry carries its own growth stamp and distField/routes re-derive slots when it is stale
+	//mixnet:allow growth is covered per entry: distEntry carries its own growth stamp and field/Route restart it when it is stale
 	if r.epoch != r.G.Epoch() {
 		r.Invalidate()
 		r.epoch = r.G.Epoch()
 	}
 }
 
-func (r *BFSRouter) distField(dst NodeID) *distEntry {
+// field returns dst's distance field for the current epoch. A new field
+// takes the storage of one dropped by the last invalidation when there is
+// one. A partial field restarts when the graph has grown since it started;
+// a complete field of an older growth is returned as is.
+func (r *BFSRouter) field(dst NodeID) *distEntry {
 	r.sync()
-	if e, ok := r.dist[dst]; ok {
+	e := r.dist[dst]
+	switch {
+	case e == nil:
+		if r.used == len(r.fields) {
+			r.fields = append(r.fields, &distEntry{})
+		}
+		e = r.fields[r.used]
+		r.used++
+		r.dist[dst] = e
+	case e.done() || e.growth == r.G.Growth():
 		return e
 	}
-	return r.computeDist(dst)
+	r.restart(e, dst)
+	return e
 }
 
-// computeDist (re)computes dst's distance field against the current graph.
-func (r *BFSRouter) computeDist(dst NodeID) *distEntry {
+// restart resets e to a BFS from dst that has expanded nothing yet. It
+// clears only the slots the previous search labeled, and reallocates d
+// only when the graph has more nodes than e covers. q keeps its capacity:
+// it grows only as far as some search through e has labeled.
+func (r *BFSRouter) restart(e *distEntry, dst NodeID) {
 	g := r.G
-	e := r.dist[dst]
-	if e == nil {
-		e = &distEntry{}
-		r.dist[dst] = e
-	}
-	e.growth = g.Growth()
-	d := e.d[:0]
-	for len(d) < len(g.Nodes) {
-		d = append(d, -1)
-	}
-	for i := range d {
-		d[i] = -1
-	}
-	e.d = d
-	di := g.NodeIndex(dst)
-	if di < 0 {
-		return e
-	}
-	d[di] = 0
-	q := r.queue[:0]
-	q = append(q, dst)
-	for len(q) > 0 {
-		n := q[0]
-		q = q[1:]
-		ni := g.NodeIndex(n)
-		// Walk incoming links: we want distance *towards* dst.
-		for _, lid := range g.in[ni] {
-			l := &g.Links[g.LinkIndex(lid)]
-			if !l.Up {
-				continue
-			}
-			fi := g.NodeIndex(l.From)
-			if d[fi] == -1 {
-				d[fi] = d[ni] + 1
-				q = append(q, l.From)
-			}
+	if n := len(g.Nodes); len(e.d) < n {
+		e.d = make([]int32, n)
+		for i := range e.d {
+			e.d[i] = -1
+		}
+	} else {
+		for _, i := range e.q {
+			e.d[i] = -1
 		}
 	}
-	r.queue = q[:0]
-	return e
+	e.q = e.q[:0]
+	e.head, e.growth = 0, g.Growth()
+	if di := g.NodeIndex(dst); di >= 0 {
+		e.d[di] = 0
+		e.q = append(e.q, di)
+	}
+}
+
+// done reports whether the BFS has expanded every node it labeled.
+//
+//mixnet:noalloc
+func (e *distEntry) done() bool { return e.head == len(e.q) }
+
+// expand labels the unlabeled up-link predecessors of the next node in BFS
+// order.
+//
+//mixnet:noalloc
+func (e *distEntry) expand(g *Graph) {
+	ni := e.q[e.head]
+	e.head++
+	next := e.d[ni] + 1
+	// Walk incoming links: we want distance *towards* the destination.
+	for _, lid := range g.in[ni] {
+		l := &g.Links[g.LinkIndex(lid)]
+		if !l.Up {
+			continue
+		}
+		if fi := g.NodeIndex(l.From); e.d[fi] == -1 {
+			e.d[fi] = next
+			e.q = append(e.q, fi)
+		}
+	}
+}
+
+// reach expands the BFS until src is labeled, which is all a route walk
+// from src needs: src got its label from a node one hop nearer the
+// destination, and BFS had expanded every node nearer still before that
+// one, so every node nearer the destination than src is labeled too. The
+// walk only compares labels with distances below src's, and a node it sees
+// unlabeled reads -1, which never equals one. Returns src's distance, -1
+// when the complete field does not cover it.
+//
+//mixnet:noalloc
+func (e *distEntry) reach(g *Graph, src NodeID) int32 {
+	for e.at(g, src) < 0 && !e.done() {
+		e.expand(g)
+	}
+	return e.at(g, src)
 }
 
 // at returns n's distance to the entry's destination, -1 when unreachable
@@ -167,17 +221,22 @@ func (e *distEntry) at(g *Graph, n NodeID) int32 {
 
 // DistanceField returns every materialized node's hop distance to dst over
 // up links (-1 = unreachable), indexed by node storage slot (== NodeID on
-// eager graphs; use Graph.NodeIndex on folded ones). The slice is cached
-// per destination, self-invalidates when the graph epoch changes, and is
-// recomputed eagerly when the folded graph has grown, so it always covers
-// every materialized node. Treat it as read-only. It exposes the ECMP
-// structure Route samples from, so callers (e.g. the analytic netsim
-// backend) can enumerate a hop's equal-cost candidates instead of
-// committing to one sampled path.
+// eager graphs; use Graph.NodeIndex on folded ones). The field is cached
+// per destination and completed eagerly, restarting first when the folded
+// graph has grown, so it always covers every materialized node. Treat it
+// as read-only, and do not hold it across a graph mutation or growth: the
+// router then reuses the slice for a recomputed field, possibly another
+// destination's. It
+// exposes the ECMP structure Route samples from, so callers (e.g. the
+// analytic netsim backend) can enumerate a hop's equal-cost candidates
+// instead of committing to one sampled path.
 func (r *BFSRouter) DistanceField(dst NodeID) []int32 {
-	e := r.distField(dst)
+	e := r.field(dst)
 	if e.growth != r.G.Growth() {
-		e = r.computeDist(dst)
+		r.restart(e, dst)
+	}
+	for !e.done() {
+		e.expand(r.G)
 	}
 	return e.d
 }
@@ -211,25 +270,21 @@ func (r *BFSRouter) Route(src, dst NodeID, flowKey uint64) (Route, error) {
 		return rt, nil
 	}
 	g := r.G
-	e, ok := r.dist[dst]
-	if !ok {
-		e = r.computeDist(dst)
+	e := r.field(dst)
+	ds := e.reach(g, src)
+	if ds < 0 && e.growth != g.Growth() {
+		// The complete field predates src's materialization.
+		r.restart(e, dst)
+		ds = e.reach(g, src)
 	}
-	if e.at(g, src) < 0 {
-		// Either unreachable or the field predates src's materialization.
-		if e.growth == g.Growth() {
-			return nil, ErrNoRoute
-		}
-		e = r.computeDist(dst)
-		if e.at(g, src) < 0 {
-			return nil, ErrNoRoute
-		}
+	if ds < 0 {
+		return nil, ErrNoRoute
 	}
 	// From here every node on a shortest src->dst path is covered by e:
 	// such nodes lie in src's pod, dst's pod/server, or the eagerly built
 	// core plane, all materialized no later than src and dst themselves.
 	d := e.d
-	route := make(Route, 0, e.at(g, src))
+	route := make(Route, 0, ds)
 	cur := src
 	ci := g.NodeIndex(cur)
 	hop := 0

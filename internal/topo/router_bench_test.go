@@ -1,6 +1,9 @@
 package topo
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // benchFabric builds a small fat-tree with real ECMP fan-out.
 func benchFabric() *Cluster {
@@ -34,6 +37,68 @@ func BenchmarkRouteCold(b *testing.B) {
 		if _, err := r.Route(src, dst, 7); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// reconfigFabric builds a MixNet fabric and two circuit assignments for
+// region 0 to rewire between.
+func reconfigFabric() (*Cluster, [2][]CircuitPair) {
+	c := BuildMixNet(DefaultSpec(16, 100*Gbps))
+	rng := rand.New(rand.NewSource(1))
+	return c, [2][]CircuitPair{shuffledCircuits(c, 0, rng), shuffledCircuits(c, 0, rng)}
+}
+
+// routeAll routes every pair, keyed as a flow between its endpoints.
+func routeAll(tb testing.TB, r *BFSRouter, pairs [][2]NodeID) {
+	for _, p := range pairs {
+		if _, err := r.Route(p[0], p[1], FlowKey(p[0], p[1], 0)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouteAfterReconfig is the controller's per-layer step: rewire
+// one region, then route the gather, circuit and scatter pairs an
+// all-to-all over that region compiles.
+func BenchmarkRouteAfterReconfig(b *testing.B) {
+	c, cfgs := reconfigFabric()
+	r := NewBFSRouter(c.G)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.SetRegionCircuits(0, cfgs[i%2]); err != nil {
+			b.Fatal(err)
+		}
+		routeAll(b, r, a2aPairs(c, 0))
+	}
+}
+
+// TestRouteAfterEpochBumpAllocs guards the resumable distance fields: once
+// every field has been built, routing again after an epoch bump allocates
+// the returned routes and nothing else: stale fields are reset in place,
+// not reallocated.
+func TestRouteAfterEpochBumpAllocs(t *testing.T) {
+	c, cfgs := reconfigFabric()
+	if err := c.SetRegionCircuits(0, cfgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	r := NewBFSRouter(c.G)
+	pairs := a2aPairs(c, 0)
+	// A link no pair routes over: flipping it down and up bumps the epoch
+	// twice without changing any route.
+	spare := c.G.Out(c.Servers[len(c.Servers)-1].GPUs[0])[0]
+	bump := func() {
+		c.G.SetLinkUp(spare, false)
+		c.G.SetLinkUp(spare, true)
+	}
+	bump()
+	routeAll(t, r, pairs)
+	allocs := testing.AllocsPerRun(10, func() {
+		bump()
+		routeAll(t, r, pairs)
+	})
+	if allocs > float64(len(pairs)) {
+		t.Errorf("routing %d pairs after an epoch bump allocates %v objects/run, want at most one per route", len(pairs), allocs)
 	}
 }
 
