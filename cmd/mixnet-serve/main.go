@@ -38,7 +38,6 @@ func main() {
 		workers  = flag.Int("workers", 8, "max concurrently executing queries")
 		timeout  = flag.Duration("timeout", 60*time.Second, "per-query execution timeout")
 		maxIdle  = flag.Int("pool-idle", 8, "max idle warm engines kept per configuration shape")
-		maxUses  = flag.Int("pool-uses", 1024, "leases before a pooled engine is retired")
 		memoCap  = flag.Int("memo-cap", 0, "shared compile-memo entries per shape (0 = package default)")
 		selftest = flag.Bool("selftest", false, "run the validation + load driver instead of serving")
 		benchOut = flag.String("bench-out", "BENCH_serve.json", "selftest report path")
@@ -63,7 +62,7 @@ func main() {
 	}
 
 	srv := serve.New(serve.Options{
-		Pool:    serve.NewPool(*maxIdle, *maxUses, *memoCap),
+		Pool:    serve.NewPool(*maxIdle, *memoCap),
 		Workers: *workers,
 		Timeout: *timeout,
 	})

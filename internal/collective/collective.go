@@ -116,25 +116,6 @@ func (ctx *Ctx) activeMemo() *Memo {
 	return ctx.memo
 }
 
-// ResyncCaches eagerly revalidates the context's epoch-stamped caches —
-// the router's route/distance caches and the private compile memo —
-// against the graph's current epoch, dropping whatever no longer matches.
-// Both caches self-invalidate lazily on use, which is sound while the
-// epoch only moves forward; after topo.Graph.RestoreEpoch rewinds it, a
-// later mutation sequence can land the graph back on a stale stamp's exact
-// value before any lazy check observes the restored epoch — the stamps
-// would then "match" and revive routes and plans recorded under different
-// link state. Callers that rewind the graph epoch (the query service's
-// engine pool) must call this immediately after. The shared memo needs no
-// resync: it is pinned to the build epoch and only ever holds entries
-// recorded there.
-func (ctx *Ctx) ResyncCaches() {
-	ctx.Router.Resync()
-	if ctx.memo != nil {
-		ctx.memo.sync(ctx.Cluster.G.Epoch())
-	}
-}
-
 // MemoStats returns this context's compile-cache hit/miss/bypass counters,
 // cumulative over its lifetime (spanning shared and private cache use).
 // Safe only from the goroutine running compilations; for cross-goroutine

@@ -128,7 +128,7 @@ func Selftest(opts BenchOptions, logw io.Writer) (*BenchReport, error) {
 			maxClients = n
 		}
 	}
-	srv := New(Options{Pool: NewPool(maxClients, 0, 0), Workers: maxClients, Timeout: 5 * time.Minute})
+	srv := New(Options{Pool: NewPool(maxClients, 0), Workers: maxClients, Timeout: 5 * time.Minute})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err

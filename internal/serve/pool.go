@@ -23,43 +23,28 @@ import (
 // scenario.Config field except the per-query Seed, Iterations and Trace —
 // plus one shared compile memo per shape, pinned to the shape's build
 // epoch. Acquire hands out exclusive leases (an engine never serves two
-// queries at once); Release verifies the engine was returned to its
-// build-time state before pooling it again, so one query's failure drill
-// or circuit retargeting can never skew a later query.
+// queries at once); Release pools an engine again only if its graph never
+// left the build epoch, so one query's failure drill or circuit
+// retargeting can never skew a later query.
 type Pool struct {
 	mu     sync.Mutex
 	shapes map[string]*shapeEntry
 
-	// MaxIdle bounds idle engines kept per shape; MaxUses retires an
-	// engine after that many leases (reconfigurable fabrics accrete
-	// detached link records over their lifetime; retirement bounds that
-	// growth). MemoCap bounds each shape's shared compile memo.
-	maxIdle, maxUses, memoCap int
+	// maxIdle bounds idle engines kept per shape; memoCap bounds each
+	// shape's shared compile memo.
+	maxIdle, memoCap int
 
-	hits, misses, evictions, restores atomic.Uint64
+	hits, misses, evictions atomic.Uint64
 }
 
 // shapeEntry is one configuration shape's idle engines and shared caches.
 type shapeEntry struct {
-	idle []*pooledEngine
-	memo *collective.Memo // shared compile cache; nil until first build
+	idle []*trainsim.Engine // every one at its build epoch
+	memo *collective.Memo   // shared compile cache; nil until first build
 	// memoEpoch is the build epoch the shared memo is pinned to; identical
 	// builds land on identical epochs, and an engine whose build diverges
 	// (defensive: should be impossible) simply does not attach.
 	memoEpoch uint64
-}
-
-// pooledEngine is one warm engine plus the build-time snapshot Release
-// verifies restoration against.
-type pooledEngine struct {
-	e     *trainsim.Engine
-	shape string
-	uses  int
-
-	buildEpoch    uint64
-	buildSig      uint64
-	buildLinks    int
-	buildDetached int
 }
 
 // Lease is an exclusively held engine. Exactly one of Release or Evict
@@ -67,8 +52,9 @@ type pooledEngine struct {
 type Lease struct {
 	Engine *trainsim.Engine
 	Warm   bool // true when the engine came from the pool, not a fresh build
-	pe     *pooledEngine
 	p      *Pool
+	shape  string
+	epoch  uint64 // the engine's build epoch, recorded at Acquire
 }
 
 // PoolStats is a point-in-time snapshot of pool effectiveness counters.
@@ -76,22 +62,18 @@ type PoolStats struct {
 	Hits      uint64 `json:"hits"`      // queries served by a warm engine
 	Misses    uint64 `json:"misses"`    // queries that paid a full build
 	Evictions uint64 `json:"evictions"` // engines retired instead of pooled
-	Restores  uint64 `json:"restores"`  // post-drill verified epoch restorations
+	Restores  uint64 `json:"restores"`  // always 0: the pool never restores a mutated graph
 	Idle      int    `json:"idle"`      // engines currently pooled
 	Shapes    int    `json:"shapes"`    // distinct configuration shapes seen
 }
 
 // NewPool creates an engine pool. maxIdle <= 0 defaults to 8 idle engines
-// per shape, maxUses <= 0 to 1024 leases per engine, memoCap <= 0 to the
-// collective package's default memo bound.
-func NewPool(maxIdle, maxUses, memoCap int) *Pool {
+// per shape, memoCap <= 0 to the collective package's default memo bound.
+func NewPool(maxIdle, memoCap int) *Pool {
 	if maxIdle <= 0 {
 		maxIdle = 8
 	}
-	if maxUses <= 0 {
-		maxUses = 1024
-	}
-	return &Pool{shapes: make(map[string]*shapeEntry), maxIdle: maxIdle, maxUses: maxUses, memoCap: memoCap}
+	return &Pool{shapes: make(map[string]*shapeEntry), maxIdle: maxIdle, memoCap: memoCap}
 }
 
 // ShapeKey canonicalizes a configuration to its engine-shape identity:
@@ -120,18 +102,18 @@ func (p *Pool) Acquire(cfg scenario.Config) (*Lease, error) {
 		p.shapes[key] = entry
 	}
 	for len(entry.idle) > 0 {
-		pe := entry.idle[len(entry.idle)-1]
+		e := entry.idle[len(entry.idle)-1]
 		entry.idle = entry.idle[:len(entry.idle)-1]
 		p.mu.Unlock()
-		if err := pe.e.PrepareRun(cfg.Seed); err != nil {
-			// Unreusable (leftover state the release check missed, or an
-			// external source): drop it and try the next idle engine.
+		if err := e.PrepareRun(cfg.Seed); err != nil {
+			// Unreusable (an external iteration source): drop it and try
+			// the next idle engine.
 			p.evictions.Add(1)
 			p.mu.Lock()
 			continue
 		}
 		p.hits.Add(1)
-		return &Lease{Engine: pe.e, Warm: true, pe: pe, p: p}, nil
+		return &Lease{Engine: e, Warm: true, p: p, shape: key, epoch: e.Cluster.G.Epoch()}, nil
 	}
 	p.mu.Unlock()
 
@@ -139,17 +121,10 @@ func (p *Pool) Acquire(cfg scenario.Config) (*Lease, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := e.Cluster.G
-	pe := &pooledEngine{
-		e: e, shape: key,
-		buildEpoch:    g.Epoch(),
-		buildSig:      g.StateHash(),
-		buildLinks:    g.NumLinks(),
-		buildDetached: g.DetachedLinks(),
-	}
-	p.attachSharedMemo(entry, pe)
+	l := &Lease{Engine: e, p: p, shape: key, epoch: e.Cluster.G.Epoch()}
+	p.attachSharedMemo(entry, l)
 	p.misses.Add(1)
-	return &Lease{Engine: e, pe: pe, p: p}, nil
+	return l, nil
 }
 
 // attachSharedMemo wires a freshly built engine to its shape's shared
@@ -158,95 +133,53 @@ func (p *Pool) Acquire(cfg scenario.Config) (*Lease, error) {
 // (impossible for deterministic builds; checked defensively) or whose
 // folded cluster is not fully materialized simply run on their private
 // memo.
-func (p *Pool) attachSharedMemo(entry *shapeEntry, pe *pooledEngine) {
+func (p *Pool) attachSharedMemo(entry *shapeEntry, l *Lease) {
 	p.mu.Lock()
 	if entry.memo == nil {
-		entry.memo = collective.NewSharedMemo(p.memoCap, pe.buildEpoch)
-		entry.memoEpoch = pe.buildEpoch
+		entry.memo = collective.NewSharedMemo(p.memoCap, l.epoch)
+		entry.memoEpoch = l.epoch
 	}
 	memo, epoch := entry.memo, entry.memoEpoch
 	p.mu.Unlock()
-	if epoch != pe.buildEpoch {
+	if epoch != l.epoch {
 		return
 	}
-	_ = pe.e.AttachSharedMemo(memo) // error = partially materialized fold: keep private memo
+	_ = l.Engine.AttachSharedMemo(memo) // error = partially materialized fold: keep private memo
 }
 
-// Release returns a leased engine to the pool after verifying it was
-// restored to its build-time state; engines that fail verification are
-// evicted. damaged forces eviction (the caller knows the engine is
-// unsound, e.g. a failure injection did not fully unwind).
-//
-// The verification ladder:
-//
-//  1. Leftover failure state (overrides, TP charges, excluded servers) —
-//     evict: restoration did not unwind.
-//  2. Reconfigured circuits are reinstalled to the build configuration
-//     (topo.Cluster.ResetCircuits; no-op for static fabrics and for runs
-//     that never retargeted).
-//  3. Graph still at the build epoch — pool immediately (clean queries on
-//     static fabrics land here; warm route and compile caches intact).
-//  4. Epoch moved but StateHash, link count and detach count all match
-//     the build snapshot — every mutation was a verified flag-flip
-//     round trip (failure drills' SetLinkUp down/up), adjacency
-//     untouched: rewind the epoch (topo.Graph.RestoreEpoch) so the shared
-//     build-epoch compile memo becomes valid again, and resync the
-//     engine's own epoch-stamped caches (Engine.ResyncCaches) — their
-//     drill-time stamps are now *ahead* of the graph, and a later drill
-//     with the same number of epoch bumps would land back on exactly
-//     those values, reviving routes recorded under the earlier drill's
-//     downed links. Then pool.
-//  5. StateHash matches but the graph grew (reconfigurable fabrics:
-//     reinstalled circuits allocate fresh link IDs) — pool warm without
-//     the epoch rewind; route/compile caches rebuild lazily, topology
-//     construction is still skipped.
-//  6. Anything else — evict.
+// Release returns a leased engine to the pool when it is exactly as built:
+// not damaged (the caller knows the engine is unsound, e.g. its run
+// failed), Pristine (no leftover failure overrides) and with its graph
+// still at the build epoch recorded at Acquire. Every graph mutation —
+// a failure drill's link flips, even if undone, or the OCS controller
+// retargeting circuits — moves the epoch, so such engines are evicted and
+// the next query builds a fresh one, which lands on the same build epoch
+// and still hits the shared compile memo.
 func (l *Lease) Release(damaged bool) {
-	p, pe := l.p, l.pe
-	l.p, l.pe, l.Engine = nil, nil, nil
+	p, e := l.p, l.Engine
+	l.p, l.Engine = nil, nil
 	if p == nil {
 		return
 	}
-	pe.uses++
-	if damaged || pe.uses >= p.maxUses || !pe.e.Pristine() {
+	if damaged || !e.Pristine() || e.Cluster.G.Epoch() != l.epoch {
 		p.evictions.Add(1)
 		return
-	}
-	if _, err := pe.e.Cluster.ResetCircuits(); err != nil {
-		p.evictions.Add(1)
-		return
-	}
-	g := pe.e.Cluster.G
-	if g.Epoch() != pe.buildEpoch {
-		if g.StateHash() != pe.buildSig {
-			p.evictions.Add(1)
-			return
-		}
-		if g.NumLinks() == pe.buildLinks && g.DetachedLinks() == pe.buildDetached {
-			g.RestoreEpoch(pe.buildEpoch)
-			// The rewind leaves any drill-time cache stamp ahead of the
-			// graph epoch; drop those caches now, while the regression is
-			// still observable — lazy epoch-equality checks cannot tell the
-			// restored epoch from a later mutation landing on the same value.
-			pe.e.ResyncCaches()
-			p.restores.Add(1)
-		}
 	}
 	p.mu.Lock()
-	entry := p.shapes[pe.shape]
+	entry := p.shapes[l.shape]
 	if entry == nil || len(entry.idle) >= p.maxIdle {
 		p.mu.Unlock()
 		p.evictions.Add(1)
 		return
 	}
-	entry.idle = append(entry.idle, pe)
+	entry.idle = append(entry.idle, e)
 	p.mu.Unlock()
 }
 
 // Evict discards the leased engine unconditionally.
 func (l *Lease) Evict() {
 	p := l.p
-	l.p, l.pe, l.Engine = nil, nil, nil
+	l.p, l.Engine = nil, nil
 	if p != nil {
 		p.evictions.Add(1)
 	}
@@ -259,7 +192,6 @@ func (p *Pool) Stats() PoolStats {
 		Hits:      p.hits.Load(),
 		Misses:    p.misses.Load(),
 		Evictions: p.evictions.Load(),
-		Restores:  p.restores.Load(),
 	}
 	p.mu.Lock()
 	s.Shapes = len(p.shapes)

@@ -42,6 +42,16 @@ type QueryConfig struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
+// Per-query cost limits. A query's run time grows with its iteration count
+// and its cluster with the data-parallel degree; these bounds keep one
+// request from pinning a worker indefinitely (or, for negative values,
+// crashing the engine) while admitting every value the batch CLIs,
+// experiments and benchmark use (at most 4 iterations, DP 256).
+const (
+	maxIterations = 100
+	maxDP         = 256
+)
+
 func (q QueryConfig) scenarioConfig() scenario.Config {
 	return scenario.Config{
 		Model: q.Model, Fabric: q.Fabric, Backend: q.Backend, CC: q.CC,
@@ -139,7 +149,7 @@ type baselineCell struct {
 // New creates a Server.
 func New(opts Options) *Server {
 	if opts.Pool == nil {
-		opts.Pool = NewPool(0, 0, 0)
+		opts.Pool = NewPool(0, 0)
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 8
@@ -226,14 +236,14 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/iter", func(w http.ResponseWriter, r *http.Request) {
 		var q QueryConfig
-		if !wantPost(w, r) || !decodeBody(w, r, &q) {
+		if !wantPost(w, r) || !decodeBody(w, r, &q) || !withinLimits(w, q) {
 			return
 		}
 		s.do(w, r, func() (any, Meta, error) { return s.runIter(q) })
 	})
 	mux.HandleFunc("/v1/failure", func(w http.ResponseWriter, r *http.Request) {
 		var q failureQuery
-		if !wantPost(w, r) || !decodeBody(w, r, &q) {
+		if !wantPost(w, r) || !decodeBody(w, r, &q) || !withinLimits(w, q.QueryConfig) {
 			return
 		}
 		s.do(w, r, func() (any, Meta, error) { return s.runFailure(q) })
@@ -317,12 +327,20 @@ func badQuery(err error) error {
 	return clientErr{err}
 }
 
+// outcome is one finished query as the worker hands it to the handler.
+type outcome struct {
+	v    any
+	meta Meta
+	err  error
+}
+
 // do runs one query under the bounded worker pool with the per-query
 // timeout. The worker goroutine always runs to completion — a timed-out
 // or abandoned query's engine still gets released — but its response is
 // only written while the request waits: timeout gets 504, a client that
 // disconnected gets nothing (the handler returns instead of pinning the
-// connection for the rest of the query budget).
+// connection for the rest of the query budget). Failed queries count in
+// errors whether or not anyone still waits for them.
 func (s *Server) do(w http.ResponseWriter, r *http.Request, fn func() (any, Meta, error)) {
 	select {
 	case s.sem <- struct{}{}:
@@ -331,27 +349,22 @@ func (s *Server) do(w http.ResponseWriter, r *http.Request, fn func() (any, Meta
 		return
 	}
 	s.queries.Add(1)
-	type outcome struct {
-		v    any
-		meta Meta
-		err  error
-	}
 	ch := make(chan outcome, 1)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer func() { <-s.sem }()
-		t0 := time.Now()
-		v, meta, err := fn()
-		meta.ElapsedSec = time.Since(t0).Seconds()
-		ch <- outcome{v, meta, err}
+		o := runContained(fn)
+		if o.err != nil {
+			s.errors.Add(1)
+		}
+		ch <- o
 	}()
 	timer := time.NewTimer(s.timeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
 		if o.err != nil {
-			s.errors.Add(1)
 			status := http.StatusInternalServerError
 			var ce clientErr
 			if errors.As(o.err, &ce) {
@@ -368,6 +381,21 @@ func (s *Server) do(w http.ResponseWriter, r *http.Request, fn func() (any, Meta
 		// Client gone; nothing to write. The worker finishes in the
 		// background and returns its engine to the pool.
 	}
+}
+
+// runContained runs one query, timing it and turning a panic into an
+// error so it cannot kill the process. A panicking query never reaches its
+// lease's Release, so its engine is dropped rather than pooled again.
+func runContained(fn func() (any, Meta, error)) (o outcome) {
+	defer func() {
+		if p := recover(); p != nil {
+			o = outcome{err: fmt.Errorf("serve: query panicked: %v", p)}
+		}
+	}()
+	t0 := time.Now()
+	o.v, o.meta, o.err = fn()
+	o.meta.ElapsedSec = time.Since(t0).Seconds()
+	return o
 }
 
 // runIter answers a training-iteration query. The result is exactly what
@@ -425,10 +453,11 @@ func (s *Server) runCost(q costQuery) (any, Meta, error) {
 
 // runFailure answers a failure-drill query: the named injector faults a
 // pooled engine, the drill runs, the injection unwinds, and the release
-// path verifies full restoration (or evicts). The clean baseline of the
-// same configuration is measured once and shared across drills, mirroring
-// scenario.RunMatrix's memoized baseline; the returned scenario.Result is
-// byte-identical to scenario.Run of the same drill.
+// path evicts the engine if the drill moved its graph off the build epoch.
+// The clean baseline of the same configuration is measured once and
+// shared across drills, mirroring scenario.RunMatrix's memoized baseline;
+// the returned scenario.Result is byte-identical to scenario.Run of the
+// same drill.
 func (s *Server) runFailure(q failureQuery) (any, Meta, error) {
 	inj, ok := scenario.DrillInjector(q.Scenario)
 	if !ok {
@@ -574,6 +603,23 @@ func backendName(cfg scenario.Config) string {
 		return "fluid"
 	}
 	return cfg.Backend
+}
+
+// withinLimits answers 400 for a query outside the per-query cost limits
+// (zero selects the scenario default), before it takes a worker slot or an
+// engine.
+func withinLimits(w http.ResponseWriter, q QueryConfig) bool {
+	var msg string
+	switch {
+	case q.Iterations < 0 || q.Iterations > maxIterations:
+		msg = fmt.Sprintf("serve: iterations %d outside [0, %d]", q.Iterations, maxIterations)
+	case q.DP < 0 || q.DP > maxDP:
+		msg = fmt.Sprintf("serve: dp %d outside [0, %d]", q.DP, maxDP)
+	default:
+		return true
+	}
+	http.Error(w, msg, http.StatusBadRequest)
+	return false
 }
 
 func wantPost(w http.ResponseWriter, r *http.Request) bool {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -99,7 +100,7 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 	// Serial reference: a fresh one-engine server answers each query once.
 	ref := make(map[string]json.RawMessage, len(mix))
 	{
-		srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+		srv := New(Options{Pool: NewPool(1, 0), Workers: 1})
 		c, done := testClient(t, srv)
 		for _, q := range mix {
 			raw, _, err := c.post(q.path, q.body)
@@ -112,7 +113,7 @@ func TestConcurrentQueryDeterminism(t *testing.T) {
 	}
 
 	for _, poolSize := range []int{1, 2, 8} {
-		srv := New(Options{Pool: NewPool(poolSize, 0, 0), Workers: poolSize})
+		srv := New(Options{Pool: NewPool(poolSize, 0), Workers: poolSize})
 		c, done := testClient(t, srv)
 		const rounds = 2
 		var wg sync.WaitGroup
@@ -156,14 +157,14 @@ func (e *mismatchError) Error() string {
 	return "query " + e.query + " diverged from the serial reference"
 }
 
-// TestDrillRestoreThenReuse: an engine that served a failure drill must
-// come back byte-identical — the pool verifies route/table state (hash,
-// link counters) before reuse and the next clean query must match the
-// pre-drill answer exactly. This is the regression test for pooled-engine
-// reuse after failure injection.
+// TestDrillRestoreThenReuse: an engine that served a failure drill is not
+// pooled again — the NIC drill downs a real link, moving the graph off its
+// build epoch even after the restore — so the next clean query runs on a
+// fresh engine and must match the pre-drill answer byte for byte. An
+// unrestored injection is evicted too.
 func TestDrillRestoreThenReuse(t *testing.T) {
 	t.Parallel()
-	pool := NewPool(1, 0, 0)
+	pool := NewPool(1, 0)
 	cfg := scenario.Config{Fabric: "fat-tree", Iterations: 2, Seed: 1}.WithDefaults()
 
 	runClean := func(want []trainsim.IterStats) []trainsim.IterStats {
@@ -188,10 +189,7 @@ func TestDrillRestoreThenReuse(t *testing.T) {
 
 	baseline := runClean(nil)
 
-	// Drill on the pooled engine: inject, run, restore, release. The NIC
-	// drill downs a real link, so release must prove the flag round-trip
-	// (StateHash + counters) and rewind the epoch — the verified-restore
-	// path, not a lucky no-op.
+	// Drill on the pooled engine: inject, run, restore, release.
 	inj, ok := scenario.DrillInjector(scenario.FailNIC)
 	if !ok {
 		t.Fatal("fail-nic is not a drill")
@@ -213,16 +211,15 @@ func TestDrillRestoreThenReuse(t *testing.T) {
 	restore()
 	lease.Release(false)
 
-	st := pool.Stats()
-	if st.Evictions != 0 {
-		t.Fatalf("restored drill engine was evicted: %+v", st)
-	}
-	if st.Restores == 0 {
-		t.Fatalf("drill mutations did not take the verified-restore path: %+v", st)
+	if st := pool.Stats(); st.Evictions != 1 || st.Idle != 0 || st.Restores != 0 {
+		t.Fatalf("drilled engine was not evicted: %+v", st)
 	}
 
-	// The same engine must now answer the clean query exactly as before.
+	// A fresh engine answers the clean query exactly as before.
 	runClean(baseline)
+	if st := pool.Stats(); st.Misses != 2 || st.Idle != 1 {
+		t.Fatalf("post-drill query did not build a fresh engine: %+v", st)
+	}
 
 	// Counter-case: an unrestored injection must be caught and evicted.
 	lease, err = pool.Acquire(cfg)
@@ -233,7 +230,7 @@ func TestDrillRestoreThenReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	lease.Release(false)
-	if pool.Stats().Evictions == 0 {
+	if pool.Stats().Evictions != 2 {
 		t.Fatal("engine with unreversed failure state was pooled")
 	}
 	lease, err = pool.Acquire(cfg)
@@ -246,17 +243,11 @@ func TestDrillRestoreThenReuse(t *testing.T) {
 	lease.Evict()
 }
 
-// TestDifferentDrillAfterRestore: the epoch-collision regression. Release
-// rewinds a verified-restored drill engine's graph to the build epoch,
-// which leaves the engine's epoch-stamped caches (drill-time routes, the
-// private compile memo) stamped *ahead* of the graph. A second, different
-// drill that performs the same number of epoch bumps — here: downing the
-// same number of NIC links on a different server — lands the graph back on
-// exactly the stale stamp's value, so without the post-rewind resync the
-// lazy epoch checks "match" and the run replays routes that avoid the
-// first drill's downed links while sending traffic over the second
-// drill's. The pooled second drill must stay byte-identical to a fresh
-// engine running the same drill.
+// TestDifferentDrillAfterRestore: two drills that down the same number of
+// links on different servers perform the same number of epoch bumps. The
+// first drill's engine must be evicted, so the second runs on a fresh
+// engine and stays byte-identical to a fresh engine running the same
+// drill — no route recorded under the first drill's downed links survives.
 func TestDifferentDrillAfterRestore(t *testing.T) {
 	t.Parallel()
 	cfg := scenario.Config{Fabric: "fat-tree", Iterations: 2, Seed: 1}.WithDefaults()
@@ -281,41 +272,39 @@ func TestDifferentDrillAfterRestore(t *testing.T) {
 	}
 	want, _ := json.Marshal(drillStats(fresh, 1))
 
-	pool := NewPool(1, 0, 0)
+	pool := NewPool(1, 0)
 	lease, err := pool.Acquire(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	drillStats(lease.Engine, 0) // downs server 0's NIC links, restores
 	lease.Release(false)
-	if st := pool.Stats(); st.Restores != 1 || st.Evictions != 0 {
-		t.Fatalf("first drill did not take the verified-restore path: %+v", st)
+	if st := pool.Stats(); st.Restores != 0 || st.Evictions != 1 || st.Idle != 0 {
+		t.Fatalf("first drill's engine was not evicted: %+v", st)
 	}
 
 	lease, err = pool.Acquire(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lease.Warm {
-		t.Fatal("second drill should reuse the pooled engine")
+	if lease.Warm {
+		t.Fatal("second drill reused the drilled engine")
 	}
 	got, _ := json.Marshal(drillStats(lease.Engine, 1)) // same bump count, different links
 	lease.Release(false)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("post-restore drill diverged from a fresh engine:\n got %s\nwant %s", got, want)
+		t.Fatalf("second drill diverged from a fresh engine:\n got %s\nwant %s", got, want)
 	}
 }
 
-// TestComposedDrillAfterNICDrill: serve-level epoch-collision coverage.
-// The fail-server+fail-nic drill downs the same number of links as the
-// fail-nic drill that preceded it on the same pooled engine (fail-server
-// remaps GPUs without touching links), so the graph lands back on the
-// first drill's epoch value; before the post-restore resync this exact
-// query sequence replayed stale routes over the second drill's downed
-// links. The served result must match the batch runner byte for byte.
+// TestComposedDrillAfterNICDrill: serve-level coverage of a drill sequence
+// whose two drills down the same number of links (fail-server remaps GPUs
+// without touching links). The fail-nic drill's engine is evicted, so the
+// composed drill runs on a fresh engine, and the served result must match
+// the batch runner byte for byte.
 func TestComposedDrillAfterNICDrill(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+	srv := New(Options{Pool: NewPool(1, 0), Workers: 1})
 	q := failureQuery{
 		QueryConfig: QueryConfig{Fabric: "fat-tree", Iterations: 2, Seed: 1},
 		Scenario:    scenario.FailNIC,
@@ -323,13 +312,16 @@ func TestComposedDrillAfterNICDrill(t *testing.T) {
 	if _, _, err := srv.runFailure(q); err != nil {
 		t.Fatalf("fail-nic: %v", err)
 	}
+	if st := srv.pool.Stats(); st.Evictions != 1 || st.Restores != 0 {
+		t.Fatalf("fail-nic drill's engine was not evicted: %+v", st)
+	}
 	q.Scenario = scenario.FailServerNIC
 	got, meta, err := srv.runFailure(q)
 	if err != nil {
-		t.Fatalf("fail-server+fail-nic on warm engine: %v", err)
+		t.Fatalf("fail-server+fail-nic: %v", err)
 	}
-	if !meta.Warm {
-		t.Fatal("composed drill should run on the pooled engine")
+	if meta.Warm {
+		t.Fatal("composed drill ran on the drilled engine")
 	}
 	want, err := scenario.Run(scenario.FailServerNIC, q.scenarioConfig())
 	if err != nil {
@@ -342,33 +334,12 @@ func TestComposedDrillAfterNICDrill(t *testing.T) {
 	}
 }
 
-// TestPoolMaxUsesRetires: engines retire after maxUses leases instead of
-// accreting state forever.
-func TestPoolMaxUsesRetires(t *testing.T) {
-	t.Parallel()
-	pool := NewPool(1, 2, 0)
-	cfg := scenario.Config{Fabric: "fat-tree", Iterations: 1, Seed: 1}.WithDefaults()
-	for i := 0; i < 2; i++ {
-		lease, err := pool.Acquire(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lease.Engine.Run(cfg.Iterations); err != nil {
-			t.Fatal(err)
-		}
-		lease.Release(false)
-	}
-	if st := pool.Stats(); st.Evictions != 1 || st.Idle != 0 {
-		t.Fatalf("second lease should retire the engine: %+v", st)
-	}
-}
-
 // TestBaselineCacheBoundAndRetry: the baseline cache must not memoize
 // failures (a failed measurement is retried, not replayed forever) and
 // must not grow beyond baselineCap in a long-running service.
 func TestBaselineCacheBoundAndRetry(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+	srv := New(Options{Pool: NewPool(1, 0), Workers: 1})
 
 	bad := scenario.Config{Model: "no-such-model", Iterations: 1}.WithDefaults()
 	for i := 0; i < 2; i++ {
@@ -401,7 +372,7 @@ func TestBaselineCacheBoundAndRetry(t *testing.T) {
 // share the entry; no_cache bypasses replay but still matches bitwise.
 func TestResultCache(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(2, 0, 0), Workers: 2})
+	srv := New(Options{Pool: NewPool(2, 0), Workers: 2})
 	c, done := testClient(t, srv)
 	defer done()
 
@@ -494,7 +465,7 @@ func TestResultCacheBound(t *testing.T) {
 // right status codes; the health and stats endpoints respond.
 func TestServeHTTPErrors(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1})
+	srv := New(Options{Pool: NewPool(1, 0), Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
@@ -542,13 +513,65 @@ func TestServeHTTPErrors(t *testing.T) {
 	if r := post("/v1/cost", `{"fabric":"warp-drive","servers":8,"gbps":100}`); r.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown fabric: %d, want 400", r.StatusCode)
 	}
+	// Per-query cost limits: rejected before any engine is acquired.
+	for _, body := range []string{
+		`{"fabric":"fat-tree","iterations":-1}`,
+		fmt.Sprintf(`{"fabric":"fat-tree","iterations":%d}`, maxIterations+1),
+		`{"fabric":"fat-tree","dp":-1}`,
+		fmt.Sprintf(`{"fabric":"fat-tree","dp":%d}`, maxDP+1),
+	} {
+		if r := post("/v1/iter", body); r.StatusCode != http.StatusBadRequest {
+			t.Errorf("iter %s: %d, want 400", body, r.StatusCode)
+		}
+		drill := strings.Replace(body, "{", `{"scenario":"fail-nic",`, 1)
+		if r := post("/v1/failure", drill); r.StatusCode != http.StatusBadRequest {
+			t.Errorf("failure %s: %d, want 400", drill, r.StatusCode)
+		}
+	}
+	if st := srv.pool.Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("over-limit queries acquired engines: %+v", st)
+	}
+	if r := get("/healthz"); r.StatusCode != http.StatusOK {
+		t.Errorf("healthz after rejected queries: %d", r.StatusCode)
+	}
+}
+
+// TestWorkerPanicContained: a query that panics in its worker goroutine
+// answers 500 and counts as an error instead of killing the process, and
+// its worker slot is freed: the one-worker server still answers the next
+// query.
+func TestWorkerPanicContained(t *testing.T) {
+	t.Parallel()
+	srv := New(Options{Pool: NewPool(1, 0), Workers: 1})
+	defer srv.Drain()
+
+	rec := httptest.NewRecorder()
+	srv.do(rec, httptest.NewRequest(http.MethodPost, "/v1/iter", nil), func() (any, Meta, error) {
+		panic("engine invariant broken")
+	})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking query: %d, want 500", rec.Code)
+	}
+	if st := srv.StatsSnapshot(); st.Errors != 1 || st.Queries != 1 {
+		t.Fatalf("panic not counted: %+v", st)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/cost",
+		strings.NewReader(`{"fabric":"mixnet","servers":64,"gbps":400}`)).WithContext(ctx)
+	rec = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("query after the panic: %d (%s), want 200", rec.Code, rec.Body)
+	}
 }
 
 // TestQueryTimeout: a query exceeding the per-query budget returns 504
 // while the worker finishes in the background and Drain still completes.
 func TestQueryTimeout(t *testing.T) {
 	t.Parallel()
-	srv := New(Options{Pool: NewPool(1, 0, 0), Workers: 1, Timeout: time.Millisecond})
+	srv := New(Options{Pool: NewPool(1, 0), Workers: 1, Timeout: time.Millisecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

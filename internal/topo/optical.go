@@ -1,7 +1,5 @@
 package topo
 
-import "slices"
-
 // BuildMixNet constructs the MixNet fabric (§4.2, §7.1): each server wires
 // spec.EPSNICs NICs into a shared fat-tree EPS fabric and spec.OCSNICs NICs
 // into a regional OCS. Servers are grouped into regions of
@@ -49,44 +47,7 @@ func BuildMixNet(spec Spec) *Cluster {
 	for r := range c.Regions {
 		c.SetRegionCircuits(r, UniformCircuits(c, r))
 	}
-	c.sealBuildCircuits()
 	return c
-}
-
-// sealBuildCircuits snapshots every region's currently installed circuits
-// as the build-time configuration ResetCircuits restores. Builders with
-// runtime-reconfigurable circuits call it once, after initial installation.
-func (c *Cluster) sealBuildCircuits() {
-	for _, rc := range c.ocs {
-		rc.buildPairs = slices.Clone(rc.pairs)
-		rc.buildBps = rc.bps
-	}
-}
-
-// ResetCircuits restores every region's build-time circuit configuration,
-// undoing runtime reconfiguration (the OCS controller retargeting circuits
-// mid-run). Regions already at their build configuration are left
-// untouched — in particular the graph epoch does not move, so a cluster
-// that never reconfigured keeps its warm epoch-keyed caches. Reinstalled
-// circuits allocate fresh link IDs (IDs are never reused), but append at
-// the same adjacency positions the build used (circuits always install
-// after a NIC's fabric links), so routing and simulation are
-// byte-identical to a fresh build; StateHash is ID-insensitive and
-// verifies the restored state. Returns whether any region was reinstalled.
-// Fabrics whose circuits are configured once and never retargeted
-// (TopoOpt's patch panels, fixed fabrics without regions) are no-ops.
-func (c *Cluster) ResetCircuits() (bool, error) {
-	changed := false
-	for r, rc := range c.ocs {
-		if rc.buildPairs == nil || slices.Equal(rc.pairs, rc.buildPairs) {
-			continue
-		}
-		if err := c.SetRegionCircuitsBps(r, rc.buildPairs, rc.buildBps); err != nil {
-			return changed, err
-		}
-		changed = true
-	}
-	return changed, nil
 }
 
 // BuildTopoOpt constructs the TopoOpt baseline: every NIC is attached to a

@@ -59,15 +59,15 @@ type refField struct {
 	growth uint64
 }
 
-// resync drops every field unless the graph is still at the stamped epoch.
-func (r *refRouter) resync() {
+// sync drops every field unless the graph is still at the stamped epoch.
+func (r *refRouter) sync() {
 	if r.dist == nil || r.epoch != r.g.Epoch() {
 		r.dist, r.epoch = map[NodeID]*refField{}, r.g.Epoch()
 	}
 }
 
 func (r *refRouter) field(dst NodeID, fresh bool) *refField {
-	r.resync()
+	r.sync()
 	f := r.dist[dst]
 	if f == nil || fresh {
 		f = &refField{d: refDist(r.g, dst), growth: r.g.Growth()}
@@ -167,12 +167,6 @@ type oracle struct {
 
 func newOracle(t *testing.T, seed int64, g *Graph) *oracle {
 	return &oracle{t: t, rng: rand.New(rand.NewSource(seed)), g: g, r: NewBFSRouter(g), ref: &refRouter{g: g}}
-}
-
-// resync resyncs both routers, as callers must after Graph.RestoreEpoch.
-func (o *oracle) resync() {
-	o.r.Resync()
-	o.ref.resync()
 }
 
 func (o *oracle) route(src, dst NodeID, key uint64) {
@@ -388,57 +382,6 @@ func TestRouterOracleFoldedGrowth(t *testing.T) {
 		for step := 0; step < 10; step++ {
 			o.queries(20, materialized(c.G, KindGPU, KindNIC))
 			c.Server(rng.Intn(c.NumServers()))
-		}
-	}
-}
-
-// TestRouterOracleRestoreEpoch replays the engine pool's drill-and-restore
-// sequence: links on routes the queries use fail and recover, the epoch is
-// rewound to the build value and the router resynced, and the next drill,
-// of the same length, walks the epoch back onto the stamps of this one.
-func TestRouterOracleRestoreEpoch(t *testing.T) {
-	t.Parallel()
-	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c := BuildMixNet(DefaultSpec(16, 100*Gbps))
-		g := c.G
-		o := newOracle(t, seed, g)
-		ends := materialized(g, KindGPU, KindNIC)
-		e0, h0 := g.Epoch(), g.StateHash()
-		o.queries(40, ends)
-		for round := 0; round < 8; round++ {
-			// Fail the first hop of three routes, chosen on the reference
-			// so the router sees no query before the drill.
-			var pairs [][2]NodeID
-			var down []LinkID
-			for len(down) < 3 {
-				src, dst := ends[rng.Intn(len(ends))], ends[rng.Intn(len(ends))]
-				rt, err := o.ref.Route(src, dst, 0)
-				if err != nil || len(rt) == 0 || !g.Link(rt[0]).Up {
-					continue
-				}
-				g.SetLinkUp(rt[0], false)
-				pairs = append(pairs, [2]NodeID{src, dst})
-				down = append(down, rt[0])
-			}
-			for _, p := range pairs {
-				o.route(p[0], p[1], 0)
-			}
-			o.queries(40, ends)
-			for _, id := range down {
-				g.SetLinkUp(id, true)
-			}
-			if g.StateHash() != h0 {
-				t.Fatal("drill was not unwound")
-			}
-			g.RestoreEpoch(e0)
-			o.resync()
-			// Half the rounds query nothing at the restored epoch, so the
-			// next drill reaches this one's epoch stamps while the router
-			// holds only what Resync left it.
-			if rng.Intn(2) == 0 {
-				o.queries(40, ends)
-			}
 		}
 	}
 }

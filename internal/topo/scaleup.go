@@ -114,7 +114,6 @@ func BuildMixNetCPO(su ScaleUpSpec) *Cluster {
 			panic(fmt.Sprintf("topo: BuildMixNetCPO: %v", err))
 		}
 	}
-	c.sealBuildCircuits()
 	return c
 }
 

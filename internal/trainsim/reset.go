@@ -14,9 +14,9 @@ import (
 // memoized collective compilations from earlier queries. PrepareRun rewinds
 // exactly the per-run state (gate randomness, flow/salt counters, overlap
 // window) so a reused engine's results are byte-identical to a freshly
-// built one's; the pool layer separately restores and verifies graph state
-// (circuits, failure unwind) with topo.Cluster.ResetCircuits and
-// topo.Graph.StateHash.
+// built one's. Graph state is the pool layer's concern: it re-pools an
+// engine only while its graph still sits at the build epoch, so a reused
+// engine never carries a mutated topology into its next run.
 
 // Pristine reports whether the engine carries no failure or override state:
 // no GPU/server remaps, no TP-over-EPS charges, and no servers excluded
@@ -90,16 +90,6 @@ func (e *Engine) AttachSharedMemo(m *collective.Memo) error {
 	e.ctx.SetSharedMemo(m)
 	return nil
 }
-
-// ResyncCaches drops the engine's epoch-stamped caches — cached routes and
-// the private compile memo — when their stamps no longer match the graph's
-// epoch (collective.Ctx.ResyncCaches). The pool calls this immediately
-// after topo.Graph.RestoreEpoch rewinds a verified-restored engine: the
-// rewind leaves drill-time cache stamps *ahead* of the graph, and a later
-// drill with the same number of epoch bumps would otherwise land the graph
-// back on exactly those values, silently reviving routes recorded under
-// the earlier drill's downed links.
-func (e *Engine) ResyncCaches() { e.ctx.ResyncCaches() }
 
 // MemoStats returns the engine's cumulative compile-cache counters (hits
 // prove a query skipped compilation). Safe only between runs — the
